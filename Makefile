@@ -8,12 +8,13 @@ DATE  ?= $(shell date +%F)
 # service's aggregate-throughput-vs-keys points (in-memory and over
 # loopback TCP), the wire codec encode+decode micro-benchmarks, the
 # inline-executor lock-machinery micro-benchmarks (message-driven handoff
-# and the uncontended Lock/Unlock fast path), and the session-protocol
-# round trip (Acquire+Release over loopback TCP against an instant
-# backend).
+# and the uncontended Lock/Unlock fast path), the short-timer rung (an idle
+# 200 µs protocol window: lateness and CPU per window), and the
+# session-protocol round trip (Acquire+Release over loopback TCP against
+# an instant backend).
 # Override BENCH to run more (e.g. `make bench BENCH=.` for every
 # experiment benchmark).
-BENCH ?= SimulatorThroughput|ScheduleStep|PostStep|CancelHeavy|ManagerMultiKey|ManagerTCPMultiKey|SealOpen|NodeHandoffLatency|LockUnlockUncontended|SessionAcquireRelease
+BENCH ?= SimulatorThroughput|ScheduleStep|PostStep|CancelHeavy|ManagerMultiKey|ManagerTCPMultiKey|SealOpen|NodeHandoffLatency|LockUnlockUncontended|ShortTimer|SessionAcquireRelease
 
 .PHONY: build test race bench bench-full fuzz
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -119,6 +120,8 @@ func (n *Node) Status(ctx context.Context) (Status, error) {
 //	                 totals, the ?n= most recent, and the ?n= slowest by
 //	                 lock-wait with per-phase breakdowns; 404 when request
 //	                 tracing is disabled
+//	/debug/pprof/    the runtime profiles of net/http/pprof (CPU, heap,
+//	                 goroutine, execution trace, ...)
 //
 // Mount it on any mux or serve it directly; cmd/mutexnode's -http flag
 // does the latter.
@@ -159,7 +162,20 @@ func (n *Node) AdminHandler() http.Handler {
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
 		writeRequests(w, r, n.tracer)
 	})
+	mountPprof(mux)
 	return mux
+}
+
+// mountPprof serves the net/http/pprof profiles under /debug/pprof/ on
+// mux. They are mounted explicitly because importing the package only
+// registers them on http.DefaultServeMux, which the admin surfaces do
+// not use.
+func mountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // writeTraceRing serves a protocol-transition ring, honoring the

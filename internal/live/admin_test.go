@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -280,5 +281,33 @@ func TestLockWaitExemplar(t *testing.T) {
 	id := reqtrace.ID(hist.MaxExemplar.Trace)
 	if _, found := tracer.Lookup(id); !found {
 		t.Errorf("exemplar trace %s not resolvable in the collector", id)
+	}
+}
+
+func TestAdminServesPprof(t *testing.T) {
+	nodeNet := transport.NewMemNetwork(1, transport.MemOptions{})
+	t.Cleanup(nodeNet.Close)
+	mgrNet := transport.NewMemNetwork(1, transport.MemOptions{})
+	t.Cleanup(mgrNet.Close)
+	factory := registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005})
+	nd, err := live.NewNode(live.Config{ID: 0, N: 1, Transport: nodeNet.Endpoint(0), Factory: factory, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nd.Close() })
+	m, err := live.NewManager(live.ManagerConfig{ID: 0, N: 1, Transport: mgrNet.Endpoint(0), Factory: factory, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+
+	for name, h := range map[string]http.Handler{"node": nd.AdminHandler(), "manager": m.AdminHandler()} {
+		srv := httptest.NewServer(h)
+		for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/goroutine?debug=1"} {
+			if code, body := adminGet(t, srv, path); code != 200 || body == "" {
+				t.Errorf("%s admin GET %s = %d with %d bytes, want 200 and a body", name, path, code, len(body))
+			}
+		}
+		srv.Close()
 	}
 }

@@ -75,6 +75,7 @@ type keyStatus struct {
 //	/debug/requests       recent completed request traces from the shared
 //	                      collector (ManagerConfig.Tracer), ?n= deep;
 //	                      ?key=K restricts to one lock key's traces
+//	/debug/pprof/         the runtime profiles, as on Node.AdminHandler
 func (m *Manager) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -145,6 +146,7 @@ func (m *Manager) AdminHandler() http.Handler {
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
 		writeRequests(w, r, m.cfg.Tracer)
 	})
+	mountPprof(mux)
 	return mux
 }
 

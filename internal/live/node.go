@@ -704,8 +704,9 @@ func (n *Node) Broadcast(from dme.NodeID, msg dme.Message) {
 // Timer handle can find its way back here through TimerHost. Delays at
 // or above shortTimerCutoff ride time.AfterFunc (t non-nil); shorter
 // ones — the sub-millisecond Treq/Tfwd protocol phases, whose firing
-// precision bounds the dispatch cycle — go to the spinning short-timer
-// service (t nil, cancellation by flag only).
+// precision bounds the dispatch cycle — go to the short-timer service,
+// which sleeps on a kernel timer and yields through only the last
+// spinTail of each delay (t nil, cancellation by flag only).
 type liveTimer struct {
 	t        *time.Timer // nil for short-timer-service delays
 	canceled atomic.Bool

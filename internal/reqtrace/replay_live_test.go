@@ -3,6 +3,7 @@ package reqtrace_test
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,27 @@ import (
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/transport"
 )
+
+// lockedBuffer is a capture sink the test can read while the network is
+// still delivering: Manager.Close does not wait for in-memory deliveries
+// already past the network's closed check, and those still record.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// snapshot copies the records written so far.
+func (b *lockedBuffer) snapshot() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return bytes.Clone(b.buf.Bytes())
+}
 
 // TestReplayDeterminism is the end-to-end contract the flight recorder
 // exists for: capture a live 3-node multi-key run, replay the capture
@@ -24,7 +46,7 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 3
-	var buf bytes.Buffer
+	var buf lockedBuffer
 	rec, err := reqtrace.NewRecorder(&buf, algo, n)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +95,7 @@ func TestReplayDeterminism(t *testing.T) {
 		_ = m.Close()
 	}
 
-	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
+	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
